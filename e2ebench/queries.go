@@ -150,13 +150,16 @@ func (g *generator) userRange(rng *rand.Rand, width int64) (lo, hi int64) {
 }
 
 // dayRange draws days consecutive base days. Both bounds sit a random
-// number of hours past midnight, so they cut through the index's one-day ts
-// cells while selecting whole days of the once-a-day readings.
+// number of seconds past midnight, so they cut through the index's one-day
+// ts cells while selecting whole days of the once-a-day (midnight)
+// readings. Second-grained bounds also keep a run's literals distinct, so
+// the result cache never answers; the ~10^2 same-span batch_scan GROUP BYs
+// of a window would collide among whole-hour bounds.
 func (g *generator) dayRange(rng *rand.Rand, days int) (lo, hi int64) {
 	first := 1 + rng.Intn(g.cfg.Days-days) // first included day, >= 1
 	start := g.cfg.Start.Unix()
-	lo = start + int64(first-1)*day + int64(1+rng.Intn(23))*3600
-	hi = start + int64(first+days-1)*day + int64(1+rng.Intn(23))*3600
+	lo = start + int64(first-1)*day + int64(1+rng.Intn(day-1))
+	hi = start + int64(first+days-1)*day + int64(1+rng.Intn(day-1))
 	return lo, hi
 }
 
@@ -164,17 +167,23 @@ func tsLit(sec int64) string { return time.Unix(sec, 0).UTC().Format("2006-01-02
 
 // reference holds the generated base rows column-wise for the brute-force
 // evaluator (a storage.Row per reading would double the process's memory).
+// byDay lists the rows of each base day, so a query scans only the days
+// its ts range touches.
 type reference struct {
 	user, region, ts []int64
 	metrics          [][]float64 // powerConsumed, pate1..pate4
+	start            int64       // first base day, Unix seconds
+	byDay            [][]int32
 }
 
-func newReference(rows []storage.Row) *reference {
-	r := &reference{}
-	for _, row := range rows {
+func newReference(cfg workload.MeterConfig, rows []storage.Row) *reference {
+	r := &reference{start: cfg.Start.Unix(), byDay: make([][]int32, cfg.Days)}
+	for i, row := range rows {
 		r.user = append(r.user, row[0].I)
 		r.region = append(r.region, row[1].I)
 		r.ts = append(r.ts, row[2].I)
+		d := (row[2].I - r.start) / day
+		r.byDay[d] = append(r.byDay[d], int32(i))
 	}
 	for c := 3; c < len(rows[0]); c++ {
 		col := make([]float64, len(rows))
@@ -206,35 +215,10 @@ type refAgg struct {
 func (r *reference) answer(q query) [][]any {
 	groups := map[int64]*refAgg{}
 	var point [][]any
-	for i := range r.user {
-		if r.ts[i] < q.tsLo || r.ts[i] >= q.tsHi || r.user[i] < q.userLo || r.user[i] > q.userHi ||
-			r.region[i] < q.regionLo || r.region[i] > q.regionHi {
-			continue
-		}
-		power, pate1 := r.metrics[0][i], r.metrics[1][i]
-		if q.kind == kindPate && !(pate1 > q.pateMin) {
-			continue
-		}
-		if q.kind == kindPoint {
-			point = append(point, r.pointRow(i))
-			continue
-		}
-		key := int64(0)
-		if q.kind == kindGroup || q.kind == kindWideGroup || q.kind == kindJoin {
-			key = r.region[i]
-		}
-		a := groups[key]
-		if a == nil {
-			a = &refAgg{max: math.Inf(-1)}
-			groups[key] = a
-		}
-		a.count++
-		a.sum += power
-		v := power
-		if q.kind == kindPate {
-			v = pate1
-		}
-		a.max = math.Max(a.max, v)
+	first := max((q.tsLo-r.start)/day, 0)
+	last := min((q.tsHi-1-r.start)/day, int64(len(r.byDay))-1)
+	for d := first; d <= last; d++ {
+		r.scanDay(q, r.byDay[d], groups, &point)
 	}
 	if q.kind == kindPoint {
 		return point
@@ -266,6 +250,41 @@ func (r *reference) answer(q query) [][]any {
 		}
 	}
 	return out
+}
+
+// scanDay folds the rows of one base day that match q into groups (or, for
+// point lookups, into point).
+func (r *reference) scanDay(q query, rows []int32, groups map[int64]*refAgg, point *[][]any) {
+	for _, i := range rows {
+		if r.ts[i] < q.tsLo || r.ts[i] >= q.tsHi || r.user[i] < q.userLo || r.user[i] > q.userHi ||
+			r.region[i] < q.regionLo || r.region[i] > q.regionHi {
+			continue
+		}
+		power, pate1 := r.metrics[0][i], r.metrics[1][i]
+		if q.kind == kindPate && !(pate1 > q.pateMin) {
+			continue
+		}
+		if q.kind == kindPoint {
+			*point = append(*point, r.pointRow(int(i)))
+			continue
+		}
+		key := int64(0)
+		if q.kind == kindGroup || q.kind == kindWideGroup || q.kind == kindJoin {
+			key = r.region[i]
+		}
+		a := groups[key]
+		if a == nil {
+			a = &refAgg{max: math.Inf(-1)}
+			groups[key] = a
+		}
+		a.count++
+		a.sum += power
+		v := power
+		if q.kind == kindPate {
+			v = pate1
+		}
+		a.max = math.Max(a.max, v)
+	}
 }
 
 func sortRows(rows [][]any) {

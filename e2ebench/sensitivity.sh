@@ -6,7 +6,7 @@
 #
 # Runs analyst_mdrq and batch_scan for each seed, without and with
 # --inject-delay (default 200us: ~20% of analyst_mdrq's median traced
-# shard.router_ms, 0.96 ms on a 2-vCPU Xeon), alternating the two so
+# shard.router_ms, 0.9 ms on a 2-vCPU Xeon), alternating the two so
 # drift of the machine hits both alike. It compares the medians of
 # query_p50_ms with the bound BENCHMARK.json gives it. Expected:
 # analyst_mdrq leaves the bound, batch_scan stays within it. Run from the
@@ -14,7 +14,7 @@
 set -euo pipefail
 delay="${1:-200us}"
 seeds="${2:-5}"
-seconds="${3:-10}"
+seconds="${3:-15}"
 out=".bench_build/sensitivity"
 mkdir -p "$out"
 for wl in analyst_mdrq batch_scan; do

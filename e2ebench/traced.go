@@ -16,16 +16,14 @@ const applyProbeLoads = 8
 // leading query set (so they repeat exactly per seed), /stats deltas over
 // the window, the loader's decorator timings, and in-process probes of
 // single modules on one replica.
-func tracedMetrics(o options, res *result, f *fleet, gen *generator, tk ticks, samples []*querySample,
+func tracedMetrics(o options, res *result, gen *generator, tk ticks, samples []*querySample, mp *moduleProbes,
 	ing *ingestRun, s0, s1 *server.Snapshot, indexBytes int64) error {
-	sort.Slice(samples, func(a, b int) bool { return samples[a].i < samples[b].i })
 	countN := 2 * countSet[o.workload]
 	var httpMs, selfMs, routerMs, scatterSelf, straggler, whSelf, mrMs, nsPerRec []float64
 	var tracedLat, untracedLat []float64
 	var targets, slices, perRowOut, records, splits, bytesRead, simIndex, simData []float64
 	var skipped, recordsSum float64
 	var aggs, precomputed int
-	var probed []query
 	for _, s := range samples {
 		if s.err != nil {
 			continue
@@ -69,25 +67,11 @@ func tracedMetrics(o options, res *result, f *fleet, gen *generator, tk ticks, s
 				precomputed++
 			}
 		}
-		if len(probed) < 64 {
-			probed = append(probed, s.q)
-		}
 	}
 	if len(tracedLat) == 0 || len(untracedLat) == 0 {
 		return errors.New("traced run needs both traced and untraced queries")
 	}
 
-	w := f.router.Replica(0, 0)
-	var p layerProbe
-	for _, q := range probed {
-		if err := p.query(w, q); err != nil {
-			return err
-		}
-	}
-	decodeNs, rowsPerGroup, files, err := decodeProbe(w)
-	if err != nil {
-		return err
-	}
 	applyMs, err := applyProbe(o.users, o.seed, tk, applyProbeLoads)
 	if err != nil {
 		return err
@@ -110,7 +94,7 @@ func tracedMetrics(o options, res *result, f *fleet, gen *generator, tk ticks, s
 	if aggs > 0 {
 		precomputeRatio = float64(precomputed) / float64(aggs)
 	}
-	groupsRead := recordsSum / rowsPerGroup
+	groupsRead := recordsSum / mp.rowsPerGroup
 	rowsPerApply := 0.0
 	if ing.applyBatches > 0 {
 		rowsPerApply = float64(ing.rowsApply) / float64(ing.applyBatches)
@@ -131,27 +115,62 @@ func tracedMetrics(o options, res *result, f *fleet, gen *generator, tk ticks, s
 	res.add("wal.apply_ms", median(applyMs), "ms")
 	res.add("wal.rows_per_apply", rowsPerApply, "count")
 	res.add("wal.pending_rows_max", float64(ing.pendingRowsMax), "count")
-	res.add("hive.parse_us", median(p.parseUs), "us")
-	res.add("hive.plan_ms", median(p.hivePlanMs), "ms")
+	res.add("hive.parse_us", median(mp.layers.parseUs), "us")
+	res.add("hive.plan_ms", median(mp.layers.hivePlanMs), "ms")
 	res.add("hive.warehouse_self_ms", median(whSelf), "ms")
 	res.add("hive.precompute_ratio", precomputeRatio, "ratio")
 	res.add("hive.records_per_row_out", mean(perRowOut), "count")
-	res.add("dgf.plan_ms", median(p.dgfPlanMs), "ms")
+	res.add("dgf.plan_ms", median(mp.layers.dgfPlanMs), "ms")
 	res.add("dgf.slices_per_query", mean(slices), "count")
 	res.add("dgf.index_bytes", float64(indexBytes), "B")
 	res.add("mapreduce.ms", median(mrMs), "ms")
 	res.add("mapreduce.ns_per_record", median(nsPerRec), "ns")
 	res.add("mapreduce.records_read", mean(records), "count")
 	res.add("mapreduce.splits", mean(splits), "count")
-	res.add("storage.decode_ns_per_row", decodeNs, "ns")
+	res.add("storage.decode_ns_per_row", mp.decodeNs, "ns")
 	res.add("storage.bytes_read", mean(bytesRead), "B")
 	res.add("storage.groups_skipped_ratio", skipped/max(skipped+groupsRead, 1), "ratio")
-	res.add("storage.files_per_replica", float64(files), "count")
+	res.add("storage.files_per_replica", float64(mp.files), "count")
 	res.add("cluster.sim_index_s", mean(simIndex), "sim_s")
 	res.add("cluster.sim_data_s", mean(simData), "sim_s")
 	res.add("trace.overhead_pct", (median(tracedLat)/median(untracedLat)-1)*100, "%")
 	res.add("bench.gen_late_ms", maxOf(late), "ms")
 	return nil
+}
+
+// moduleProbes are the traced run's in-process timings of single modules on
+// replica 0 of shard 0, taken while the replica holds the data the window's
+// queries read (before the read-only workloads' load probe adds files).
+type moduleProbes struct {
+	layers       layerProbe
+	decodeNs     float64
+	rowsPerGroup float64
+	files        int
+}
+
+// probeModules parses, explains and DGF-plans up to 64 of the traced
+// queries among the first countN, decodes the replica's row groups and
+// counts its data files.
+func probeModules(f *fleet, gen *generator, countN int, samples []*querySample) (*moduleProbes, error) {
+	sort.Slice(samples, func(a, b int) bool { return samples[a].i < samples[b].i })
+	w := f.router.Replica(0, 0)
+	mp := &moduleProbes{}
+	probed := 0
+	for _, s := range samples {
+		if probed == 64 || (countN > 0 && s.i >= countN) {
+			break
+		}
+		if s.err != nil || !gen.traced(s.i) {
+			continue
+		}
+		if err := mp.layers.query(w, s.q); err != nil {
+			return nil, err
+		}
+		probed++
+	}
+	var err error
+	mp.decodeNs, mp.rowsPerGroup, mp.files, err = decodeProbe(w)
+	return mp, err
 }
 
 func hitRatio(a, b server.CacheStats) float64 {
