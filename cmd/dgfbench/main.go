@@ -1,5 +1,6 @@
 // Command dgfbench regenerates every table and figure of the paper's
-// evaluation (Section 5) plus the DESIGN.md ablations.
+// evaluation (Section 5) plus the ablations of DGFIndex's design choices
+// (pre-computation, slice skipping, GFU storage).
 //
 // Usage:
 //

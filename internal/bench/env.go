@@ -1,5 +1,7 @@
 // Package bench reproduces every table and figure of the paper's evaluation
-// (Section 5) plus the ablations called out in DESIGN.md. Each experiment
+// (Section 5) plus three ablations of DGFIndex's design choices —
+// pre-computed GFU aggregates, slice skipping, and KV-store vs index-table
+// storage of the GFU pairs (experiments_misc.go). Each experiment
 // builds on the shared Env: warehouses holding the meter table with the
 // three DGFIndex splitting policies (Large/Medium/Small userId intervals),
 // an RCFile copy with Compact indexes, a loaded HadoopDB cluster, and a

@@ -14,9 +14,9 @@ import (
 func init() {
 	register(Experiment{ID: "fig3", Title: "DBMS-X vs HDFS write throughput", PaperRef: "Figure 3", Run: expFig3})
 	register(Experiment{ID: "namenode", Title: "Partition directories vs NameNode memory", PaperRef: "Section 2.2", Run: expNameNode})
-	register(Experiment{ID: "ablation-precompute", Title: "Pre-computation ablation: cost vs selectivity", PaperRef: "DESIGN.md ablation 1", Run: expAblationPrecompute})
-	register(Experiment{ID: "ablation-sliceskip", Title: "Slice-skipping ablation", PaperRef: "DESIGN.md ablation 2", Run: expAblationSliceSkip})
-	register(Experiment{ID: "ablation-kvstore", Title: "KV-store vs index-table storage for GFU pairs", PaperRef: "DESIGN.md ablation 4", Run: expAblationKVStore})
+	register(Experiment{ID: "ablation-precompute", Title: "Pre-computation ablation: cost vs selectivity", PaperRef: "Ablation: pre-computed GFU aggregates", Run: expAblationPrecompute})
+	register(Experiment{ID: "ablation-sliceskip", Title: "Slice-skipping ablation", PaperRef: "Ablation: slice skipping", Run: expAblationSliceSkip})
+	register(Experiment{ID: "ablation-kvstore", Title: "KV-store vs index-table storage for GFU pairs", PaperRef: "Ablation: GFU key-value storage", Run: expAblationKVStore})
 }
 
 // --- Figure 3 ---
@@ -100,7 +100,7 @@ func expAblationPrecompute(e *Env) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Report{ID: "ablation-precompute", Title: "Pre-computation ablation: cost vs selectivity", PaperRef: "DESIGN.md ablation 1",
+	r := &Report{ID: "ablation-precompute", Title: "Pre-computation ablation: cost vs selectivity", PaperRef: "Ablation: pre-computed GFU aggregates",
 		Header: []string{"selectivity", "with precompute (s)", "records", "without precompute (s)", "records"}}
 	for _, frac := range []float64{0.01, 0.03, 0.05, 0.08, 0.12, 0.20} {
 		q := m.cfg.Selective(frac)
@@ -128,7 +128,7 @@ func expAblationSliceSkip(e *Env) (*Report, error) {
 	}
 	q := m.cfg.Selective(0.05)
 	sql := groupBySQL(q)
-	r := &Report{ID: "ablation-sliceskip", Title: "Slice-skipping ablation (5% group-by)", PaperRef: "DESIGN.md ablation 2",
+	r := &Report{ID: "ablation-sliceskip", Title: "Slice-skipping ablation (5% group-by)", PaperRef: "Ablation: slice skipping",
 		Header: []string{"mode", "total (s)", "records read", "bytes read", "seeks"}}
 	normal, err := m.WM.Exec(sql)
 	if err != nil {
@@ -151,7 +151,7 @@ func expAblationKVStore(e *Env) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Report{ID: "ablation-kvstore", Title: "KV-store vs index-table storage for GFU pairs", PaperRef: "DESIGN.md ablation 4",
+	r := &Report{ID: "ablation-kvstore", Title: "KV-store vs index-table storage for GFU pairs", PaperRef: "Ablation: GFU key-value storage",
 		Header: []string{"variant", "query", "index access (s)"}}
 	for _, v := range m.dgfVariants() {
 		t, _ := v.W.Table("meterdata")

@@ -249,17 +249,11 @@ func (w *Warehouse) createHiveIndexLocked(t *Table, s *CreateIndexStmt, kind hiv
 		kind, s.Name, ix.SizeBytes(w.FS), sec)}, nil
 }
 
-// Select plans and executes a SELECT. Plain SELECTs share the catalog read
-// lock so any number run in parallel; a SELECT with an INSERT OVERWRITE
-// DIRECTORY sink writes to the filesystem and is serialized as a writer.
-//
-//dgflint:compat ctx-free convenience wrapper over SelectContext
-func (w *Warehouse) Select(stmt *SelectStmt, opts ExecOptions) (*Result, error) {
-	return w.SelectContext(context.Background(), stmt, opts)
-}
-
-// SelectContext is Select under ctx: a ctx that ends mid-scan aborts the job
-// within one split boundary and returns the (wrapped) ctx error.
+// SelectContext plans and executes a SELECT. Plain SELECTs share the
+// catalog read lock so any number run in parallel; a SELECT with an INSERT
+// OVERWRITE DIRECTORY sink writes to the filesystem and is serialized as a
+// writer. A ctx that ends mid-scan aborts the job within one split boundary
+// and returns the (wrapped) ctx error.
 func (w *Warehouse) SelectContext(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
 	if stmt.InsertDir != "" {
 		w.mu.Lock()
@@ -271,21 +265,13 @@ func (w *Warehouse) SelectContext(ctx context.Context, stmt *SelectStmt, opts Ex
 	return w.selectLocked(ctx, stmt, opts)
 }
 
-// SelectPartial plans and executes a SELECT, returning its result in
+// SelectPartialContext plans and executes a SELECT, returning its result in
 // mergeable partial form — the scatter phase of the shard router's
 // scatter-gather. Aggregates come back as per-group accumulator state, so
 // any number of shards' partials Merge before one Finalize. INSERT
-// OVERWRITE DIRECTORY sinks cannot be executed partially.
-//
-//dgflint:compat ctx-free convenience wrapper over SelectPartialContext
-func (w *Warehouse) SelectPartial(stmt *SelectStmt, opts ExecOptions) (*PartialResult, error) {
-	return w.SelectPartialContext(context.Background(), stmt, opts)
-}
-
-// SelectPartialContext is SelectPartial under ctx — the scatter phase of a
-// cancellable scatter-gather: the router cancels the shared ctx on the first
-// shard error, and every sibling shard's scan stops at its next split
-// boundary.
+// OVERWRITE DIRECTORY sinks cannot be executed partially. The router
+// cancels the shared ctx once a shard has failed for good, and every
+// sibling shard's scan stops at its next split boundary.
 func (w *Warehouse) SelectPartialContext(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*PartialResult, error) {
 	if stmt.InsertDir != "" {
 		return nil, fmt.Errorf("hive: INSERT OVERWRITE DIRECTORY cannot be executed partially")

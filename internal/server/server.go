@@ -543,10 +543,6 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 	// concurrency-safe and unfinished ones report elapsed time).
 	ectx := trace.NewContext(ctx, root)
 	go func() {
-		defer func() {
-			<-s.sem
-			s.release()
-		}()
 		res, err := s.b.ExecParsedContext(ectx, stmt, req.Opts)
 		if err == nil && s.cfg.SimPacing > 0 {
 			// Model the remote cluster: hold the worker slot for the
@@ -561,6 +557,11 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 				}
 			}
 		}
+		// Hand the slot and the reservation back before the outcome: a
+		// caller holding its result must not still see its own query in
+		// InFlight.
+		<-s.sem
+		s.release()
 		ch <- outcome{res, err}
 	}()
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
+	"github.com/smartgrid-oss/dgfindex/internal/trace"
 )
 
 func testRouter(t *testing.T, shards int, strategy Strategy, withIndex bool) *Router {
@@ -171,14 +173,16 @@ func TestShardExplainTruthful(t *testing.T) {
 }
 
 // TestScatterCursorEquivalence: the streamed scatter delivers exactly the
-// rows the materializing scatter-gather produces (order aside), and a LIMIT
-// cursor stops the shard scans early.
+// rows the materializing scatter-gather produces (order aside), records the
+// same scatter span tree the gather does, and a LIMIT cursor stops the shard
+// scans early.
 func TestScatterCursorEquivalence(t *testing.T) {
 	r := testRouter(t, 4, HashKey, false)
 
 	sql := `SELECT userId, powerConsumed FROM meterdata WHERE userId>=5 AND userId<=30`
 	want := mustExec(t, r, sql)
-	cur, err := r.SelectCursor(context.Background(), mustParseSelect(t, sql), hive.ExecOptions{})
+	root := trace.New("query")
+	cur, err := r.SelectCursor(trace.NewContext(context.Background(), root), mustParseSelect(t, sql), hive.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +208,8 @@ func TestScatterCursorEquivalence(t *testing.T) {
 	if !strings.HasPrefix(cur.Stats().AccessPath, "sharded(") {
 		t.Fatalf("cursor access path %q", cur.Stats().AccessPath)
 	}
+	root.Finish()
+	checkScatterSpans(t, root.Snapshot(), []int{0, 1, 2, 3})
 
 	// Aggregations stream their finalized rows with identical values.
 	aggSQL := `SELECT regionId, sum(powerConsumed) FROM meterdata GROUP BY regionId`
@@ -236,5 +242,36 @@ func TestScatterCursorEquivalence(t *testing.T) {
 	}
 	if err := limCur.Err(); err != nil {
 		t.Fatalf("LIMIT cursor err = %v", err)
+	}
+}
+
+// checkScatterSpans requires exactly one "scatter" span in the tree, with
+// one "shard N" child per target shard, each naming the replica it read.
+func checkScatterSpans(t *testing.T, root trace.SpanSnapshot, targets []int) {
+	t.Helper()
+	var scatters []*trace.SpanSnapshot
+	root.Walk(func(sn *trace.SpanSnapshot) {
+		if sn.Name == "scatter" {
+			scatters = append(scatters, sn)
+		}
+	})
+	if len(scatters) != 1 {
+		t.Fatalf("span tree has %d scatter spans, want 1", len(scatters))
+	}
+	want := map[string]bool{}
+	for _, si := range targets {
+		want[fmt.Sprintf("shard %d", si)] = true
+	}
+	for _, c := range scatters[0].Children {
+		if !want[c.Name] {
+			t.Fatalf("unexpected or repeated scatter child %q", c.Name)
+		}
+		delete(want, c.Name)
+		if c.Attr("replica") == "" {
+			t.Fatalf("span %s lacks the replica attribute: %+v", c.Name, c.Attrs)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("scatter span lacks children %v", want)
 	}
 }

@@ -188,11 +188,16 @@ func TestFailoverCursorKilledMidStream(t *testing.T) {
 
 	for i, delay := range []time.Duration{0, 50 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond} {
 		shard, rep := i%4, i%2
+		killed := make(chan struct{})
 		go func() {
+			defer close(killed)
 			time.Sleep(delay)
 			r.Kill(shard, rep)
 		}()
 		got := rowMultiset(t, r, sql, 0)
+		// Join the kill before reviving: a late kill would otherwise land
+		// after the revive and leave the replica dead for the next round.
+		<-killed
 		r.Revive(shard, rep)
 		if err := multisetEqual(want, got); err != nil {
 			t.Fatalf("kill(%d,%d) after %v: %v", shard, rep, delay, err)
@@ -414,11 +419,14 @@ func TestFailoverPassthroughCursorMidStream(t *testing.T) {
 
 	for i, delay := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond} {
 		rep := i % 2
+		killed := make(chan struct{})
 		go func() {
+			defer close(killed)
 			time.Sleep(delay)
 			r.Kill(0, rep)
 		}()
 		got := rowMultiset(t, r, sql, 0)
+		<-killed // a kill landing after the revive would leave both replicas dead
 		r.Revive(0, rep)
 		if err := multisetEqual(want, got); err != nil {
 			t.Fatalf("kill(0,%d) after %v: %v", rep, delay, err)
@@ -526,6 +534,24 @@ func TestBroadcastErrorEnumeratesShards(t *testing.T) {
 	}
 	if !strings.Contains(msg, "shards 0,1,3 applied") {
 		t.Fatalf("broadcast error %q does not name the applied shards", msg)
+	}
+}
+
+// TestBroadcastErrorUnwrapsReplicaDown: a DDL broadcast that hits a killed
+// replica names the dead store and keeps ErrReplicaDown reachable through
+// errors.Is, the way a diverged load already does.
+func TestBroadcastErrorUnwrapsReplicaDown(t *testing.T) {
+	r := replicatedRouter(t, 4, 2, false)
+	r.Kill(1, 1)
+	defer r.Revive(1, 1)
+	_, err := r.Exec(`CREATE TABLE t (userId bigint, v double)`)
+	if !errors.Is(err, ErrReplicaDown) {
+		t.Fatalf("broadcast with a dead replica: err = %v, want ErrReplicaDown", err)
+	}
+	for _, want := range []string{"shard 1/4 replica 1 failed", "shards 0,2,3 applied"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("broadcast error %q does not contain %q", err, want)
+		}
 	}
 }
 

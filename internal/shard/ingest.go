@@ -131,7 +131,7 @@ func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []stora
 			ack.MaxLSN = lsn
 		}
 	}
-	if err := r.loadOutcome(errs); err != nil {
+	if err := r.fleetOutcome("load", errs); err != nil {
 		return ack, err
 	}
 	if sync {

@@ -197,49 +197,6 @@ func (rep *replica) noteSuccess() {
 	rep.mu.Unlock()
 }
 
-// openCursor opens a streaming cursor on this replica under kill
-// supervision: a kill after the open aborts the scan at its next split
-// boundary, and the returned cursor reports it as a replica failure rather
-// than a bare cancellation. Closing the cursor releases the kill watcher.
-func (rep *replica) openCursor(parent context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (hive.Cursor, error) {
-	if rep.isKilled() {
-		return nil, rep.downErr()
-	}
-	kctx, cancel, killCh := rep.watchCtx(parent)
-	cur, err := rep.w.SelectCursor(kctx, s, opts)
-	if err != nil {
-		cancel()
-		return nil, rep.classify(parent, killCh, err)
-	}
-	rep.inflight.Add(1)
-	return &replicaCursor{Cursor: cur, rep: rep, parent: parent, killCh: killCh, cancel: cancel}, nil
-}
-
-// replicaCursor decorates a warehouse cursor with its replica's kill
-// supervision: Err reclassifies a kill-induced abort as ErrReplicaDown, and
-// Close releases the watcher and the inflight slot exactly once.
-type replicaCursor struct {
-	hive.Cursor
-	rep    *replica
-	parent context.Context
-	killCh <-chan struct{}
-	cancel context.CancelFunc
-	once   sync.Once
-}
-
-func (c *replicaCursor) Err() error {
-	return c.rep.classify(c.parent, c.killCh, c.Cursor.Err())
-}
-
-func (c *replicaCursor) Close() error {
-	err := c.Cursor.Close()
-	c.once.Do(func() {
-		c.cancel()
-		c.rep.inflight.Add(-1)
-	})
-	return err
-}
-
 // isCtxErr reports whether err is a context termination (cancel or deadline).
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -372,22 +329,25 @@ func (rs *replicaSet) exhaustedErr(last error) error {
 	return fmt.Errorf("shard %d: all %d replicas failed: %w", rs.shard, len(rs.reps), last)
 }
 
-// withFailover runs fn against replicas of the shard until one succeeds: a
-// replica failure (including a kill that aborted the request in flight)
-// moves on to the next live replica; a caller cancellation propagates
-// immediately; exhausting every replica returns the last root cause.
-func (rs *replicaSet) withFailover(ctx context.Context, fn func(ctx context.Context, rep *replica) error) error {
+// withFailover is the router's one per-shard retry loop: it runs fn against
+// replicas of the shard until one succeeds. A replica failure (including a
+// kill that aborted the request in flight) moves on to the next live
+// replica; a caller cancellation propagates immediately; exhausting every
+// replica returns the last root cause. final tells fn that this attempt is
+// on the shard's last untried replica, so no retry can follow it.
+func (rs *replicaSet) withFailover(ctx context.Context, fn func(ctx context.Context, rep *replica, final bool) error) error {
 	tried := make([]bool, len(rs.reps))
 	fl := failureLog{rs: rs}
 	sp := trace.FromContext(ctx)
 	var last error
-	for {
+	for attempt := 1; ; attempt++ {
 		rep := rs.pick(tried)
 		if rep == nil {
 			return rs.exhaustedErr(last)
 		}
 		tried[rs.index(rep)] = true
-		err := rep.do(ctx, func(kctx context.Context) error { return fn(kctx, rep) })
+		final := attempt == len(rs.reps)
+		err := rep.do(ctx, func(kctx context.Context) error { return fn(kctx, rep, final) })
 		if err == nil {
 			for _, idx := range fl.succeeded() {
 				sp.Eventf("replica %d ejected", idx)
@@ -443,54 +403,11 @@ func (fl *failureLog) succeeded() []int {
 	return ejected
 }
 
-// openCursor opens a streaming cursor on the next live replica, failing
-// over past replicas that refuse one. tried persists across a pump's
-// attempts (a replica is never retried within one query), fl accumulates
-// the health strikes, and last seeds the root cause reported if the set is
-// already exhausted.
-func (rs *replicaSet) openCursor(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, tried []bool, fl *failureLog, last error) (hive.Cursor, *replica, error) {
-	sp := trace.FromContext(ctx)
-	for {
-		rep := rs.pick(tried)
-		if rep == nil {
-			return nil, nil, rs.exhaustedErr(last)
-		}
-		tried[rs.index(rep)] = true
-		cur, err := rep.openCursor(ctx, s, opts)
-		if err == nil {
-			return cur, rep, nil
-		}
-		if isCtxErr(err) {
-			return nil, nil, err
-		}
-		sp.Eventf("replica %d failed: %v", rep.idx, err)
-		if fl.observe(rep, err) {
-			sp.Eventf("replica %d ejected", rep.idx)
-		}
-		last = err
-	}
-}
-
-// execPartial is the scatter's per-shard unit of work under failover.
-func (rs *replicaSet) execPartial(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (*hive.PartialResult, int, error) {
-	var part *hive.PartialResult
-	chosen := -1
-	err := rs.withFailover(ctx, func(kctx context.Context, rep *replica) error {
-		p, err := rep.w.SelectPartialContext(kctx, s, opts)
-		if err != nil {
-			return err
-		}
-		part, chosen = p, rep.idx
-		return nil
-	})
-	return part, chosen, err
-}
-
 // execStmt runs one full statement on the shard under failover (the
 // pass-through and catalog paths).
 func (rs *replicaSet) execStmt(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
 	var res *hive.Result
-	err := rs.withFailover(ctx, func(kctx context.Context, rep *replica) error {
+	err := rs.withFailover(ctx, func(kctx context.Context, rep *replica, _ bool) error {
 		r, err := rep.w.ExecParsedContext(kctx, stmt, opts)
 		if err != nil {
 			return err
@@ -506,7 +423,7 @@ func (rs *replicaSet) execStmt(ctx context.Context, stmt hive.Stmt, opts hive.Ex
 func (rs *replicaSet) explain(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (*hive.ExplainPlan, int, error) {
 	var plan *hive.ExplainPlan
 	chosen := -1
-	err := rs.withFailover(ctx, func(_ context.Context, rep *replica) error {
+	err := rs.withFailover(ctx, func(_ context.Context, rep *replica, _ bool) error {
 		p, err := rep.w.Explain(s, opts)
 		if err != nil {
 			return err

@@ -366,45 +366,10 @@ func (r *Router) broadcast(ctx context.Context, stmt hive.Stmt, opts hive.ExecOp
 		}
 	}
 	wg.Wait()
-	if err := r.broadcastOutcome(errs); err != nil {
+	if err := r.fleetOutcome("broadcast", errs); err != nil {
 		return nil, err
 	}
 	return results[0], nil
-}
-
-// broadcastOutcome folds the per-store errors of one broadcast into a single
-// error that names every failed store and the shards that applied the
-// statement (nil when everything applied).
-func (r *Router) broadcastOutcome(errs []error) error {
-	nr := r.cfg.replicas()
-	var failed []string
-	var applied []string
-	for i := range r.sets {
-		ok := true
-		for j := 0; j < nr; j++ {
-			if err := errs[i*nr+j]; err != nil {
-				ok = false
-				if nr > 1 {
-					failed = append(failed, fmt.Sprintf("shard %d/%d replica %d failed: %v", i, len(r.sets), j, err))
-				} else {
-					failed = append(failed, fmt.Sprintf("shard %d/%d failed: %v", i, len(r.sets), err))
-				}
-			}
-		}
-		if ok {
-			applied = append(applied, strconv.Itoa(i))
-		}
-	}
-	if failed == nil {
-		return nil
-	}
-	msg := strings.Join(failed, "; ")
-	if len(applied) > 0 {
-		msg += "; shards " + strings.Join(applied, ",") + " applied"
-	} else {
-		msg += "; no shard applied"
-	}
-	return fmt.Errorf("shard: broadcast diverged the fleet: %s", msg)
 }
 
 // routeSelect is the one place the fleet decides how a SELECT executes:
@@ -452,7 +417,7 @@ func (r *Router) routeSelect(s *hive.SelectStmt) (targets []int, passthrough boo
 }
 
 // execSelect is the scatter-gather path: prune shards by the routing-key
-// predicate, run SelectPartial on each target concurrently, merge the
+// predicate, run SelectPartialContext on each target concurrently, merge the
 // partial states, finalize once.
 func (r *Router) execSelect(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (*hive.Result, error) {
 	targets, passthrough, err := r.routeSelect(s)
@@ -465,22 +430,19 @@ func (r *Router) execSelect(ctx context.Context, s *hive.SelectStmt, opts hive.E
 	return r.scatter(ctx, s, opts, targets)
 }
 
-// scatterPartials fans the SELECT out to the target shards under a
-// cancellable group. A replica error inside one shard does NOT touch the
-// sibling shards: the failed shard's partial is retried against its next
-// live replica (least-loaded first), and only when a shard has exhausted
-// every replica does the group cancel — the sibling scans then abort at
-// their next split boundary instead of running to completion. The goroutines
-// are always joined before returning; a non-nil error is the root cause (a
-// sibling's ctx.Canceled never masks the shard error that triggered the
-// cancellation).
-func (r *Router) scatterPartials(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, targets []int) ([]*hive.PartialResult, error) {
+// scatterEach is the router's one read-side fan-out: it runs fn once per
+// target shard concurrently (i indexes targets), each under a "shard N"
+// span beneath one "scatter" span. A shard whose fn returns a real error
+// (its replicas are exhausted — fn runs withFailover) cancels the sibling
+// shards, which then abort at their next split boundary; context errors
+// cancel nothing, they are already the echo of a cancellation. Every
+// goroutine is joined before returning, and the error is the root cause.
+func (r *Router) scatterEach(ctx context.Context, targets []int, fn func(ctx context.Context, i int) error) error {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ssp := trace.FromContext(ctx).Child("scatter")
 	ssp.Set("targets", fmt.Sprintf("%d/%d", len(targets), len(r.sets)))
 	defer ssp.Finish()
-	parts := make([]*hive.PartialResult, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, si := range targets {
@@ -489,46 +451,73 @@ func (r *Router) scatterPartials(ctx context.Context, s *hive.SelectStmt, opts h
 			defer wg.Done()
 			shsp := ssp.Child(fmt.Sprintf("shard %d", si))
 			defer shsp.Finish()
-			var chosen int
-			parts[i], chosen, errs[i] = r.sets[si].execPartial(trace.NewContext(sctx, shsp), s, opts)
+			errs[i] = fn(trace.NewContext(sctx, shsp), i)
 			if errs[i] != nil {
 				shsp.Set("error", errs[i].Error())
-				// All of this shard's replicas are exhausted (or the caller
-				// cancelled): now, and only now, stop the siblings.
-				cancel()
-				return
+				if !isCtxErr(errs[i]) {
+					cancel()
+				}
 			}
-			st := parts[i].Stats
-			shsp.Set("replica", chosen)
-			shsp.Set("access_path", st.AccessPath)
-			shsp.Set("records_read", st.RecordsRead)
-			shsp.Set("bytes_read", st.BytesRead)
-			shsp.Set("splits", st.Splits)
-			shsp.Set("sim_sec", st.IndexSimSec+st.DataSimSec)
 		}(i, si)
 	}
 	wg.Wait()
-	// Prefer the root cause: a real shard failure outranks the ctx errors
-	// its cancellation induced in siblings; a caller cancel surfaces as the
-	// caller ctx's own error.
+	return rootCause(ctx, errs)
+}
+
+// rootCause picks the one error a fan-out reports: a real shard failure
+// outranks the ctx errors its cancellation induced in siblings; a caller
+// cancel surfaces as the caller ctx's own error.
+func rootCause(ctx context.Context, errs []error) error {
 	var ctxErr error
 	for _, err := range errs {
 		if err == nil {
 			continue
 		}
-		if isCtxErr(err) {
-			if ctxErr == nil {
-				ctxErr = err
-			}
-			continue
+		if !isCtxErr(err) {
+			return err
 		}
-		return nil, err
+		if ctxErr == nil {
+			ctxErr = err
+		}
 	}
-	if ctxErr != nil {
-		if cause := ctx.Err(); cause != nil {
-			return nil, fmt.Errorf("shard: scatter canceled: %w", cause)
-		}
-		return nil, ctxErr
+	if cause := ctx.Err(); ctxErr != nil && cause != nil {
+		return fmt.Errorf("shard: scatter canceled: %w", cause)
+	}
+	return ctxErr
+}
+
+// annotateShard records which replica answered a shard and what its scan
+// cost on the shard's span.
+func annotateShard(ctx context.Context, replica int, st hive.QueryStats) {
+	sp := trace.FromContext(ctx)
+	sp.Set("replica", replica)
+	sp.Set("access_path", st.AccessPath)
+	sp.Set("records_read", st.RecordsRead)
+	sp.Set("bytes_read", st.BytesRead)
+	sp.Set("splits", st.Splits)
+	sp.Set("sim_sec", st.IndexSimSec+st.DataSimSec)
+}
+
+// scatterPartials fans the SELECT out to the target shards. A replica
+// error inside one shard does NOT touch the sibling shards: the failed
+// shard's partial is retried against its next live replica (least-loaded
+// first), and only a shard that has exhausted every replica cancels the
+// scatter.
+func (r *Router) scatterPartials(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, targets []int) ([]*hive.PartialResult, error) {
+	parts := make([]*hive.PartialResult, len(targets))
+	err := r.scatterEach(ctx, targets, func(ctx context.Context, i int) error {
+		return r.sets[targets[i]].withFailover(ctx, func(kctx context.Context, rep *replica, _ bool) error {
+			p, err := rep.w.SelectPartialContext(kctx, s, opts)
+			if err != nil {
+				return err
+			}
+			parts[i] = p
+			annotateShard(ctx, rep.idx, p.Stats)
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return parts, nil
 }
@@ -570,9 +559,10 @@ func (r *Router) Explain(s *hive.SelectStmt, opts hive.ExecOptions) (*hive.Expla
 	return r.ExplainContext(context.Background(), s, opts)
 }
 
-// ExplainContext is Explain under ctx: planning reads index KV state from a
-// live replica per target shard, and the caller's cancellation bounds those
-// reads the same way it bounds execution.
+// ExplainContext is Explain under ctx. ctx carries the caller's trace span,
+// but cancelling it does not bound planning: Warehouse.Explain takes no
+// context, so each target shard's plan (index KV reads on one live replica)
+// runs to completion.
 func (r *Router) ExplainContext(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (*hive.ExplainPlan, error) {
 	targets, passthrough, err := r.routeSelect(s)
 	if err != nil {
@@ -592,20 +582,13 @@ func (r *Router) ExplainContext(ctx context.Context, s *hive.SelectStmt, opts hi
 func (r *Router) explainScatter(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, targets []int) (*hive.ExplainPlan, error) {
 	plans := make([]*hive.ExplainPlan, len(targets))
 	chosen := make([]int, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, si := range targets {
-		wg.Add(1)
-		go func(i, si int) {
-			defer wg.Done()
-			plans[i], chosen[i], errs[i] = r.sets[si].explain(ctx, s, opts)
-		}(i, si)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := r.scatterEach(ctx, targets, func(ctx context.Context, i int) error {
+		var err error
+		plans[i], chosen[i], err = r.sets[targets[i]].explain(ctx, s, opts)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The gather reports the first target's access path; so does the plan.
 	merged := *plans[0]
@@ -872,7 +855,7 @@ func (r *Router) loadShardReplicas(rs *replicaSet, table string, rows []storage.
 
 // eachShard runs fn on every shard's replica set concurrently and folds the
 // per-shard outcomes into one error that enumerates every failed shard and
-// the shards that applied (see loadOutcome) — the same accounting broadcast
+// the shards that applied (see fleetOutcome) — the same accounting broadcast
 // gives DDL, so a partially-applied load names exactly which shards took it.
 func (r *Router) eachShard(fn func(rs *replicaSet) error) error {
 	errs := make([]error, len(r.sets))
@@ -885,23 +868,37 @@ func (r *Router) eachShard(fn func(rs *replicaSet) error) error {
 		}(i, rs)
 	}
 	wg.Wait()
-	return r.loadOutcome(errs)
+	return r.fleetOutcome("load", errs)
 }
 
-// loadOutcome folds per-shard load errors into a single error naming every
-// failed shard and the shards that applied, mirroring broadcastOutcome. A
-// single-shard fleet passes its error through untouched, keeping a 1-shard
+// fleetOutcome folds the per-store errors of one fleet-wide write — a DDL
+// broadcast (one slot per replica, shard-major) or a routed load (one slot
+// per shard) — into a single error naming every failed store and the
+// shards that applied, keeping every cause reachable through errors.Is/As.
+// A single slot passes its error through untouched, keeping a 1-shard
 // router's errors identical to a bare warehouse's.
-func (r *Router) loadOutcome(errs []error) error {
+func (r *Router) fleetOutcome(verb string, errs []error) error {
 	if len(errs) == 1 {
 		return errs[0]
 	}
-	var failed []string
-	var applied []string
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, fmt.Sprintf("shard %d/%d failed: %v", i, len(errs), err))
-		} else {
+	per := len(errs) / len(r.sets)
+	var failed, applied []string
+	var causes []error
+	for i := range r.sets {
+		ok := true
+		for j, err := range errs[i*per : (i+1)*per] {
+			if err == nil {
+				continue
+			}
+			ok = false
+			causes = append(causes, err)
+			store := fmt.Sprintf("shard %d/%d", i, len(r.sets))
+			if per > 1 {
+				store += fmt.Sprintf(" replica %d", j)
+			}
+			failed = append(failed, store+" failed: "+err.Error())
+		}
+		if ok {
 			applied = append(applied, strconv.Itoa(i))
 		}
 	}
@@ -914,24 +911,18 @@ func (r *Router) loadOutcome(errs []error) error {
 	} else {
 		msg += "; no shard applied"
 	}
-	var causes []error
-	for _, err := range errs {
-		if err != nil {
-			causes = append(causes, err)
-		}
-	}
-	return &fleetLoadError{msg: "shard: load diverged the fleet: " + msg, causes: causes}
+	return &fleetError{msg: "shard: " + verb + " diverged the fleet: " + msg, causes: causes}
 }
 
-// fleetLoadError enumerates a partially-applied load's per-shard failures
+// fleetError enumerates a partially-applied write's per-store failures
 // while keeping every cause reachable through errors.Is/As.
-type fleetLoadError struct {
+type fleetError struct {
 	msg    string
 	causes []error
 }
 
-func (e *fleetLoadError) Error() string   { return e.msg }
-func (e *fleetLoadError) Unwrap() []error { return e.causes }
+func (e *fleetError) Error() string   { return e.msg }
+func (e *fleetError) Unwrap() []error { return e.causes }
 
 // TableVersions sums the shards' per-table mutation counters. A shard's
 // counter is the max across its replicas (replicas apply every write, so

@@ -1,14 +1,13 @@
 // Scatter streaming: the router's cursor fans a plain-projection SELECT out
 // to the target shards' warehouse cursors and forwards rows into one merged
-// stream. With replication, each shard's stream runs under failover: while a
-// shard still has untried replicas, its rows are held back until its scan
+// stream. Each shard's stream is a withFailover callback: while a shard
+// still has untried replicas, its rows are held back until its scan
 // completes cleanly, so a replica that dies mid-scan can be replayed on a
 // sibling replica without duplicating rows already delivered; the shard's
 // final replica (always, when Replicas is 1) streams rows the moment they
-// arrive, exactly as an unreplicated fleet does. Aggregations cannot stream
-// before the gather (no row exists until every shard's partial state
-// merges), so their cursor materializes the scatter-gather result and
-// replays it.
+// arrive. Aggregations cannot stream before the gather (no row exists until
+// every shard's partial state merges), so their cursor materializes the
+// scatter-gather result and replays it.
 package shard
 
 import (
@@ -24,27 +23,16 @@ import (
 
 // SelectCursor opens a streaming cursor over one SELECT across the fleet,
 // consuming the same routeSelect decision execution does: single-shard
-// fleets and shard-0-only tables pass through to one warehouse's cursor
-// (the replicated pass-through keeps mid-stream failover via the same pump
-// the scatter uses); partitioned tables scatter. Cancelling ctx (or closing
-// the cursor) aborts every shard's scan at its next split boundary.
+// fleets and shard-0-only tables read shard 0 alone (with mid-stream
+// failover, and the warehouse's own stats — nothing was scattered);
+// partitioned tables scatter. Cancelling ctx (or closing the cursor) aborts
+// every shard's scan at its next split boundary.
 func (r *Router) SelectCursor(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (hive.Cursor, error) {
 	targets, passthrough, err := r.routeSelect(s)
 	if err != nil {
 		return nil, err
 	}
 	if passthrough {
-		rs := r.sets[0]
-		if len(rs.reps) == 1 {
-			// True pass-through, byte-for-byte the warehouse cursor.
-			fl := failureLog{rs: rs}
-			cur, _, err := rs.openCursor(ctx, s, opts, make([]bool, 1), &fl, nil)
-			return cur, err
-		}
-		// Replicated pass-through: the same pump machinery the scatter uses,
-		// over a single stream, so a replica dying mid-scan replays on its
-		// sibling here too. The stats stay the warehouse's own (no sharded
-		// prefix — nothing was scattered).
 		return r.newMergeCursor(ctx, s, opts, []int{0}, false)
 	}
 	if stmtIsAggregate(s) {
@@ -68,48 +56,15 @@ func stmtIsAggregate(s *hive.SelectStmt) bool {
 	return false
 }
 
-// shardStream is one target shard's slot in a scatter cursor: the replica
-// set it reads from, which replicas its pump has tried, the cursor of the
-// current attempt, and the stats of the last attempt (the one the merged
-// totals report).
-type shardStream struct {
-	rs    *replicaSet
-	tried []bool
-	fl    failureLog
-	rep   *replica
-	cur   hive.Cursor
-	stats hive.QueryStats
-}
-
-// untried reports whether the pump still has a failover candidate left.
-func (ss *shardStream) untried() bool {
-	for _, t := range ss.tried {
-		if !t {
-			return true
-		}
-	}
-	return false
-}
-
 // scatterCursor merges the target shards' row streams. Rows arrive in shard
 // completion order; a LIMIT is enforced globally at delivery and cancels the
 // shard scans once satisfied.
 type scatterCursor struct {
-	cctx    context.Context
-	cancel  context.CancelFunc
-	stmt    *hive.SelectStmt
-	opts    hive.ExecOptions
-	streams []*shardStream
-	nShards int
-	cols    []string
+	cancel context.CancelFunc
+	cols   []string
 
 	ch   chan storage.Row
 	done chan struct{}
-
-	// prefix marks a real scatter: the merged stats get the "sharded(k/n)"
-	// access-path label. A replicated pass-through reports its single
-	// stream's stats untouched.
-	prefix bool
 
 	limit     int
 	delivered int
@@ -123,152 +78,119 @@ type scatterCursor struct {
 	err   error
 }
 
+// newMergeCursor starts one pump per target shard under scatterEach and
+// returns once every pump has opened its first warehouse cursor, so a shard
+// with no readable replica fails the open rather than the first Next.
+// prefix marks a real scatter: the merged stats get the "sharded(k/n)"
+// access-path label.
 func (r *Router) newMergeCursor(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, targets []int, prefix bool) (hive.Cursor, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	c := &scatterCursor{
-		cctx:    cctx,
-		cancel:  cancel,
-		stmt:    s,
-		opts:    opts,
-		nShards: len(r.sets),
-		prefix:  prefix,
-		ch:      make(chan storage.Row, 64),
-		done:    make(chan struct{}),
-		limit:   s.Limit,
+		cancel: cancel,
+		// The same slack a warehouse cursor keeps, so shard scans are not
+		// paced row by row by the consumer.
+		ch:    make(chan storage.Row, 64),
+		done:  make(chan struct{}),
+		limit: s.Limit,
 	}
-	for _, si := range targets {
-		rs := r.sets[si]
-		ss := &shardStream{rs: rs, tried: make([]bool, len(rs.reps)), fl: failureLog{rs: rs}}
-		cur, rep, err := rs.openCursor(cctx, s, opts, ss.tried, &ss.fl, nil)
-		if err != nil {
-			cancel()
-			for _, open := range c.streams {
-				open.cur.Close()
-			}
-			return nil, err
+	var opening sync.WaitGroup // each pump's first open, or its end
+	opening.Add(len(targets))
+	var openFailed atomic.Bool
+	var colsOnce sync.Once
+	stats := make([]hive.QueryStats, len(targets))
+	pump := func(ctx context.Context, i int) error {
+		var once sync.Once
+		opened := func(ok bool) {
+			once.Do(func() {
+				if !ok {
+					openFailed.Store(true)
+				}
+				opening.Done()
+			})
 		}
-		ss.cur, ss.rep = cur, rep
-		c.streams = append(c.streams, ss)
+		defer opened(false) // no-op once a cursor has opened
+		return r.sets[targets[i]].withFailover(ctx, func(kctx context.Context, rep *replica, final bool) error {
+			cur, err := rep.w.SelectCursor(kctx, s, opts)
+			if err != nil {
+				return err
+			}
+			defer cur.Close()
+			colsOnce.Do(func() { c.cols = cur.Columns() })
+			opened(true)
+			err = drain(ctx, cur, c.ch, final)
+			stats[i] = cur.Stats()
+			annotateShard(ctx, rep.idx, stats[i])
+			return err
+		})
 	}
-	// Capture the column set now: the per-shard cursors rotate under
-	// failover, so the consumer must not reach into them.
-	c.cols = c.streams[0].cur.Columns()
-	// The pump is joined structurally, not locally: run defers
-	// close(c.done), and Close drains c.ch then blocks on <-c.done.
+	// The pumps are joined structurally, not locally: the goroutine closes
+	// c.done once scatterEach has joined them, and Close drains c.ch then
+	// blocks on <-c.done.
 	//dgflint:ignore goroutinejoin joined by scatterCursor.Close via c.done
-	go c.run()
+	go func() {
+		defer close(c.done)
+		start := time.Now()
+		err := r.scatterEach(cctx, targets, pump)
+		// Merge costs the way the gather does: volumes sum, the slowest
+		// shard bounds the simulated time, the first target names the
+		// access path.
+		merged := stats[0]
+		for _, st := range stats[1:] {
+			mergeStats(&merged, st)
+		}
+		if prefix {
+			merged.AccessPath = fmt.Sprintf("sharded(%d/%d):%s", len(targets), len(r.sets), stats[0].AccessPath)
+		}
+		merged.Wall = time.Since(start)
+		c.stats = merged
+		if err != nil && !(isCtxErr(err) && c.stopped.Load()) {
+			c.err = err // not our own LIMIT/Close shutdown
+		}
+		close(c.ch)
+	}()
+	opening.Wait()
+	if openFailed.Load() {
+		cancel()
+		for range c.ch {
+			// Drain rows the opened shards sent before the failure.
+		}
+		<-c.done
+		return nil, c.err
+	}
 	return c, nil
 }
 
-func (c *scatterCursor) run() {
-	defer close(c.done)
-	start := time.Now()
-	errs := make([]error, len(c.streams))
-	var wg sync.WaitGroup
-	for i := range c.streams {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.pump(c.streams[i])
-			if errs[i] != nil && !isCtxErr(errs[i]) {
-				// This shard's replicas are all exhausted: only now do the
-				// sibling scans stop.
-				c.cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	// Merge costs the way the gather does: volumes sum, the slowest shard
-	// bounds the simulated time, the first target names the access path.
-	stats := c.streams[0].stats
-	first := stats.AccessPath
-	for _, ss := range c.streams[1:] {
-		mergeStats(&stats, ss.stats)
-	}
-	if c.prefix {
-		stats.AccessPath = fmt.Sprintf("sharded(%d/%d):%s", len(c.streams), c.nShards, first)
-	}
-	stats.Wall = time.Since(start)
-	c.stats = stats
-
-	deliberate := c.stopped.Load()
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		isCtx := isCtxErr(err)
-		if isCtx && deliberate {
-			continue // our own LIMIT/Close shutdown, not a failure
-		}
-		if !isCtx {
-			c.err = err
-			break
-		}
-		if c.err == nil {
-			c.err = err
-		}
-	}
-	close(c.ch)
-}
-
-// pump drives one shard's stream to completion, failing over across the
-// shard's replicas: each failed attempt closes its cursor, marks the replica
-// unhealthy and reopens on the next live one; the terminal error is either
-// nil, a context termination (caller cancel or deliberate stop), or the
-// shard's root cause once every replica has been tried.
-func (c *scatterCursor) pump(ss *shardStream) error {
-	for {
-		final := !ss.untried()
-		err := c.drain(ss, final)
-		ss.stats = ss.cur.Stats()
-		ss.cur.Close()
-		if err == nil {
-			ss.fl.succeeded()
-			return nil
-		}
-		if isCtxErr(err) {
-			return err
-		}
-		ss.fl.observe(ss.rep, err)
-		cur, rep, oerr := ss.rs.openCursor(c.cctx, c.stmt, c.opts, ss.tried, &ss.fl, err)
-		if oerr != nil {
-			return oerr
-		}
-		ss.cur, ss.rep = cur, rep
-	}
-}
-
-// drain consumes the current attempt's cursor. While failover is still
-// possible (final=false) the rows buffer in memory and reach the merged
-// stream only after the scan completed cleanly — a replica that fails
-// mid-scan then contributes nothing, and its replacement replays the shard
-// from scratch without duplicating rows. This is a deliberate exactness
-// trade-off the replicated fleet pays even when no replica fails: a shard's
-// first rows arrive at shard-completion rather than split-completion, and
-// the buffer holds up to that shard's full result (the same shard-at-a-time
-// materialization the non-streaming gather does — replaying a failed shard
-// by skipping N already-delivered rows instead would be unsound, because a
-// warehouse cursor's row order is split-completion order, not
-// deterministic). The final attempt streams rows directly: no retry can
-// follow, so nothing needs to be replayable — and at Replicas:1 every
-// attempt is final, keeping the unreplicated fast path byte-for-byte.
-func (c *scatterCursor) drain(ss *shardStream, final bool) error {
+// drain consumes one attempt's cursor into the merged stream, sending under
+// the shard's ctx — a replica kill aborts the scan, never a delivery. While
+// failover is still possible (final=false) the rows buffer in memory and
+// reach the merged stream only after the scan completed cleanly — a replica
+// that fails mid-scan then contributes nothing, and its replacement replays
+// the shard from scratch without duplicating rows. This is a deliberate
+// exactness trade-off the replicated fleet pays even when no replica fails:
+// a shard's first rows arrive at shard-completion rather than
+// split-completion, and the buffer holds up to that shard's full result
+// (the same shard-at-a-time materialization the non-streaming gather does —
+// replaying a failed shard by skipping N already-delivered rows instead
+// would be unsound, because a warehouse cursor's row order is
+// split-completion order, not deterministic). The final attempt streams
+// rows directly: no retry can follow, so nothing needs to be replayable —
+// and at Replicas:1 every attempt is final.
+func drain(ctx context.Context, cur hive.Cursor, ch chan<- storage.Row, final bool) error {
 	if final {
-		return forwardRows(c.cctx, ss.cur, c.ch)
+		return forwardRows(ctx, cur, ch)
 	}
 	var buf []storage.Row
-	for ss.cur.Next() {
-		buf = append(buf, ss.cur.Row())
+	for cur.Next() {
+		buf = append(buf, cur.Row())
 	}
-	if err := ss.cur.Err(); err != nil {
+	if err := cur.Err(); err != nil {
 		return err
 	}
 	for _, row := range buf {
 		select {
-		case c.ch <- row:
-		case <-c.cctx.Done():
-			return c.cctx.Err()
+		case ch <- row:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 	return nil
