@@ -79,10 +79,10 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 		return nil, nil, err
 	}
 	ix := &Index{
-		FS:        fs,
-		KV:        kv,
-		Spec:      spec,
-		Schema:    schema,
+		FS:         fs,
+		KV:         kv,
+		Spec:       spec,
+		Schema:     schema,
 		DataDir:    dataDir,
 		Format:     src.Format,
 		GroupRows:  src.GroupRows,

@@ -17,11 +17,11 @@ import (
 // plus "the minimum and maximum standardized values in every index
 // dimension" (Section 4.2).
 const (
-	gfuPrefix     = "g/"
-	metaPolicy    = "meta/policy"
-	metaPrecomp   = "meta/precompute"
-	metaMinPrefix = "meta/min/"
-	metaMaxPrefix = "meta/max/"
+	gfuPrefix      = "g/"
+	metaPolicy     = "meta/policy"
+	metaPrecomp    = "meta/precompute"
+	metaMinPrefix  = "meta/min/"
+	metaMaxPrefix  = "meta/max/"
 	metaDataDir    = "meta/datadir"
 	metaGen        = "meta/generation"
 	metaFormat     = "meta/format"

@@ -230,7 +230,7 @@ func (c *rowsCursor) Row() storage.Row {
 	return c.rows[c.pos-1]
 }
 
-func (c *rowsCursor) Columns() []string  { return c.cols }
-func (c *rowsCursor) Stats() QueryStats  { return c.stats }
-func (c *rowsCursor) Err() error         { return nil }
-func (c *rowsCursor) Close() error       { c.pos = len(c.rows); return nil }
+func (c *rowsCursor) Columns() []string { return c.cols }
+func (c *rowsCursor) Stats() QueryStats { return c.stats }
+func (c *rowsCursor) Err() error        { return nil }
+func (c *rowsCursor) Close() error      { c.pos = len(c.rows); return nil }

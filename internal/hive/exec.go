@@ -777,15 +777,15 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *preparedSelect, stream f
 		job.StopEarly = stop.Load
 	}
 	if q.isAgg {
-		// Map-side partial aggregation, Hive style: per-record partials,
-		// combiner merge per map task, reducers finalise per group.
-		job.Combine = q.combinePartials
+		// Map-side partial aggregation: each map task folds its rows into
+		// one accumulator vector per group and emits one partial per group
+		// at task end; reducers merge the tasks' partials per group.
 		job.Reduce = func(key string, values [][]byte, emit mapreduce.Emit) error {
 			merged, err := q.mergeValues(values)
 			if err != nil {
 				return err
 			}
-			emit(key, encodePartials(merged))
+			emit(key, appendPartials(nil, merged))
 			return nil
 		}
 		job.NumReducers = 1
@@ -793,67 +793,12 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *preparedSelect, stream f
 			job.NumReducers = 4
 		}
 	}
-
-	leftSchema := q.left.Schema
-	vecFilters := p.vecFilters
-	job.Map = func(rec mapreduce.Record, emit mapreduce.Emit) error {
-		if rec.Batch != nil {
-			// Vectorised path (join-free by construction): the kernels
-			// shrink a selection vector over the whole decoded group, and
-			// only the surviving positions materialise as rows. The scratch
-			// row is reused per position — emitRow consumes its cells before
-			// the next iteration overwrites them.
-			b := rec.Batch
-			sel := b.Sel()
-			for i := 0; i < b.Rows; i++ {
-				sel = append(sel, i)
-			}
-			for _, k := range vecFilters {
-				if sel = k(b, sel); len(sel) == 0 {
-					return nil
-				}
-			}
-			for _, ri := range sel {
-				brec := rec
-				brec.RowInBlock = ri
-				q.emitRow(b.MaterialiseRow(ri), nil, brec, emit)
-			}
-			return nil
+	job.MapTask = func() (mapreduce.MapFunc, mapreduce.FlushFunc) {
+		t := &queryTask{q: q, vecFilters: p.vecFilters, joinMap: joinMap}
+		if q.isAgg {
+			t.agg = newAggTable(q)
 		}
-		// Columnar readers deliver decoded (possibly projected) rows; text
-		// readers deliver encoded lines.
-		leftRow := rec.Row
-		if leftRow == nil {
-			var err error
-			leftRow, err = storage.DecodeTextRow(leftSchema, string(rec.Data))
-			if err != nil {
-				return err
-			}
-		}
-		if q.right == nil {
-			for _, f := range q.filters {
-				if !f(leftRow, nil) {
-					return nil
-				}
-			}
-			q.emitRow(leftRow, nil, rec, emit)
-			return nil
-		}
-		// Join: probe the broadcast map, then filter on the combined row.
-		key := leftRow[q.joinLeft].String()
-		for _, rightRow := range joinMap[key] {
-			ok := true
-			for _, f := range q.filters {
-				if !f(leftRow, rightRow) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				q.emitRow(leftRow, rightRow, rec, emit)
-			}
-		}
-		return nil
+		return t.mapRecord, t.flush
 	}
 
 	jobStats, err := mapreduce.RunContext(ctx, w.Cluster, job)
@@ -904,22 +849,22 @@ func (w *Warehouse) readJoinMap(t *Table, keyCol int) (map[string][]storage.Row,
 
 // --- aggregation pipeline ---
 
-// partial encodes one accumulator vector contribution.
-func encodePartials(accs []dgf.Accumulator) []byte {
-	var b strings.Builder
+// appendPartials appends the text encoding of one accumulator vector — the
+// shuffle value of a group's partial — to dst.
+func appendPartials(dst []byte, accs []dgf.Accumulator) []byte {
 	for i, a := range accs {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
 		if a.N == 0 {
-			b.WriteByte('-')
+			dst = append(dst, '-')
 			continue
 		}
-		b.WriteString(strconv.FormatFloat(a.Value, 'g', -1, 64))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(a.N, 10))
+		dst = strconv.AppendFloat(dst, a.Value, 'g', -1, 64)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, a.N, 10)
 	}
-	return []byte(b.String())
+	return dst
 }
 
 func decodePartials(funcs []dgf.AggFunc, data []byte) ([]dgf.Accumulator, error) {
@@ -947,26 +892,6 @@ func decodePartials(funcs []dgf.AggFunc, data []byte) ([]dgf.Accumulator, error)
 	return accs, nil
 }
 
-func (q *compiledQuery) recordPartials(l, r storage.Row) []dgf.Accumulator {
-	accs := make([]dgf.Accumulator, len(q.slotFuncs))
-	for i, f := range q.slotFuncs {
-		accs[i].Func = f
-	}
-	for _, a := range q.aggs {
-		switch a.kind {
-		case aggCount:
-			accs[a.slots[0]].Fold(0)
-		case aggAvg:
-			v := a.arg(l, r).AsFloat()
-			accs[a.slots[0]].Fold(v)
-			accs[a.slots[1]].Fold(0)
-		default:
-			accs[a.slots[0]].Fold(a.arg(l, r).AsFloat())
-		}
-	}
-	return accs
-}
-
 func (q *compiledQuery) groupKeyOf(l, r storage.Row) string {
 	if len(q.groupBy) == 0 {
 		return ""
@@ -979,31 +904,6 @@ func (q *compiledQuery) groupKeyOf(l, r storage.Row) string {
 		b.WriteString(g(l, r).String())
 	}
 	return b.String()
-}
-
-// emitRow routes one qualifying (joined) row into the aggregation or
-// projection encoding.
-func (q *compiledQuery) emitRow(l, r storage.Row, rec mapreduce.Record, emit mapreduce.Emit) {
-	if q.isAgg {
-		emit(q.groupKeyOf(l, r), encodePartials(q.recordPartials(l, r)))
-		return
-	}
-	out := make(storage.Row, len(q.items))
-	for i, it := range q.items {
-		out[i] = it.expr(l, r)
-	}
-	// Keyed by source position so output order is deterministic. RCFile
-	// records share their row group's offset, so the in-group row position
-	// breaks the tie (it is 0 for every text record).
-	emit(fmt.Sprintf("%s:%012d:%06d", rec.Path, rec.Offset, rec.RowInBlock), []byte(storage.EncodeTextRow(out)))
-}
-
-func (q *compiledQuery) combinePartials(key string, values [][]byte) [][]byte {
-	merged, err := q.mergeValues(values)
-	if err != nil {
-		return values
-	}
-	return [][]byte{encodePartials(merged)}
 }
 
 func (q *compiledQuery) mergeValues(values [][]byte) ([]dgf.Accumulator, error) {

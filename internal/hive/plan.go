@@ -39,6 +39,9 @@ const (
 type compiledAgg struct {
 	kind aggKind
 	arg  cexpr // nil for count
+	// argCol is the left-table column when arg is a bare left column
+	// reference (batch folds read its vector directly), -1 otherwise.
+	argCol int
 	// slots into the shared accumulator vector: one for sum/count/min/max,
 	// two (sum, count) for avg.
 	slots []int
@@ -86,10 +89,13 @@ type compiledQuery struct {
 	leftRefCols map[int]bool
 	items       []compiledItem
 	groupBy     []cexpr
-	groupKinds  []storage.Kind
-	aggs        []*compiledAgg
-	slotFuncs   []dgf.AggFunc // accumulator vector layout
-	isAgg       bool
+	// groupCols is each GROUP BY column's left-schema position, -1 for a
+	// join-side column (batch folds read the left vectors directly).
+	groupCols  []int
+	groupKinds []storage.Kind
+	aggs       []*compiledAgg
+	slotFuncs  []dgf.AggFunc // accumulator vector layout
+	isAgg      bool
 }
 
 // projection renders the referenced-column set as a schema-aligned flag
@@ -162,6 +168,10 @@ func (w *Warehouse) compileLocked(stmt *SelectStmt) (*compiledQuery, error) {
 			return nil, err
 		}
 		q.groupBy = append(q.groupBy, colExpr(s, idx))
+		if s != sideLeft {
+			idx = -1
+		}
+		q.groupCols = append(q.groupCols, idx)
 		q.groupKinds = append(q.groupKinds, kind)
 	}
 
@@ -469,7 +479,7 @@ func exprName(e Expr) string {
 // compileAgg binds an aggregate call to accumulator slots and derives its
 // DGFIndex pre-compute form when possible.
 func (q *compiledQuery) compileAgg(call AggCall) (*compiledAgg, error) {
-	agg := &compiledAgg{name: exprName(call)}
+	agg := &compiledAgg{name: exprName(call), argCol: -1}
 	var canon string
 	if !call.Star && call.Arg != nil {
 		ce, c, _, err := q.compileExpr(call.Arg)
@@ -478,6 +488,11 @@ func (q *compiledQuery) compileAgg(call AggCall) (*compiledAgg, error) {
 		}
 		agg.arg = ce
 		canon = c
+		if col, ok := call.Arg.(ColRef); ok {
+			if s, idx, _, err := q.resolveCol(col); err == nil && s == sideLeft {
+				agg.argCol = idx
+			}
+		}
 	}
 	newSlot := func(f dgf.AggFunc) int {
 		q.slotFuncs = append(q.slotFuncs, f)

@@ -57,6 +57,17 @@ type Emit func(key string, value []byte)
 // MapFunc processes one record.
 type MapFunc func(rec Record, emit Emit) error
 
+// FlushFunc runs once after a map task's last record and may emit (Hadoop's
+// Mapper.cleanup): a task that buffered state across records writes it out
+// here.
+type FlushFunc func(emit Emit) error
+
+// MapTaskFunc sets up one map task (Hadoop's Mapper.setup): it returns the
+// map function for every record of the task plus the flush that ends it.
+// State the two closures share is private to the task, so it needs no
+// locking.
+type MapTaskFunc func() (MapFunc, FlushFunc)
+
 // ReduceFunc processes one key group.
 type ReduceFunc func(key string, values [][]byte, emit Emit) error
 
@@ -104,7 +115,11 @@ type InputFormat interface {
 type Job struct {
 	Name  string
 	Input InputFormat
-	Map   MapFunc
+	// Exactly one of Map and MapTask must be set. Map processes records
+	// statelessly; MapTask is called once per map task for jobs that keep
+	// task-local state and flush it at task end (map-side aggregation).
+	Map     MapFunc
+	MapTask MapTaskFunc
 	// Combine, if set, runs per map task on its buffered output.
 	Combine CombineFunc
 	// Exactly one of Reduce and ReduceTask may be set; if both are nil the
@@ -138,8 +153,8 @@ type Stats struct {
 	// sidecars before their payloads were fetched (vectorised scans).
 	GroupsSkipped int64
 	ShuffleBytes  int64
-	ShufflePairs int64
-	OutputPairs  int64
+	ShufflePairs  int64
+	OutputPairs   int64
 
 	SimStartupSec float64
 	SimMapSec     float64
@@ -212,8 +227,8 @@ func RunContext(ctx context.Context, cfg *cluster.Config, job *Job) (*Stats, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if job.Input == nil || job.Map == nil {
-		return nil, fmt.Errorf("mapreduce: job %q needs Input and Map", job.Name)
+	if job.Input == nil || (job.Map == nil) == (job.MapTask == nil) {
+		return nil, fmt.Errorf("mapreduce: job %q needs Input and exactly one of Map and MapTask", job.Name)
 	}
 	if job.Reduce != nil && job.ReduceTask != nil {
 		return nil, fmt.Errorf("mapreduce: job %q sets both Reduce and ReduceTask", job.Name)
@@ -241,6 +256,8 @@ func RunContext(ctx context.Context, cfg *cluster.Config, job *Job) (*Stats, err
 		sp.Set("splits", stats.Splits)
 		sp.Set("records", stats.InputRecords)
 		sp.Set("bytes", stats.InputBytes)
+		sp.Set("shuffle_pairs", stats.ShufflePairs)
+		sp.Set("shuffle_bytes", stats.ShuffleBytes)
 		sp.Set("sim_sec", stats.SimTotalSec())
 		sp.Finish()
 	}()
@@ -431,6 +448,10 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 		res.err = err
 		return res
 	}
+	mapFn, flush := job.Map, FlushFunc(nil)
+	if job.MapTask != nil {
+		mapFn, flush = job.MapTask()
+	}
 	res.parts = make([][]kvPair, numReducers)
 	emit := output
 	if hasReduce {
@@ -457,7 +478,13 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 		} else {
 			res.records++
 		}
-		if err := job.Map(rec, emit); err != nil {
+		if err := mapFn(rec, emit); err != nil {
+			res.err = err
+			return res
+		}
+	}
+	if flush != nil {
+		if err := flush(emit); err != nil {
 			res.err = err
 			return res
 		}

@@ -87,6 +87,78 @@ func TestWordCount(t *testing.T) {
 	}
 }
 
+// TestMapTaskFlushesOncePerTask: a MapTask job keeps task-local state
+// across its records and emits it from the flush, which runs exactly once
+// per map task; a job must set exactly one of Map and MapTask.
+func TestMapTaskFlushesOncePerTask(t *testing.T) {
+	fs := dfs.New(8) // force several splits
+	words := []string{"a", "b", "a", "c", "a", "b", "d", "a", "e", "c", "a", "b"}
+	writeWords(t, fs, "/in/words", words)
+
+	var tasks, flushes atomic.Int64
+	col := NewCollector()
+	job := &Job{
+		Name:  "wordcount-task",
+		Input: &TextInput{FS: fs, Dir: "/in"},
+		MapTask: func() (MapFunc, FlushFunc) {
+			tasks.Add(1)
+			counts := map[string]int{}
+			return func(rec Record, emit Emit) error {
+					counts[string(rec.Data)]++
+					return nil
+				}, func(emit Emit) error {
+					flushes.Add(1)
+					for w, n := range counts {
+						emit(w, []byte(strconv.Itoa(n)))
+					}
+					return nil
+				}
+		},
+		Reduce: func(key string, values [][]byte, emit Emit) error {
+			total := 0
+			for _, v := range values {
+				n, err := strconv.Atoi(string(v))
+				if err != nil {
+					return err
+				}
+				total += n
+			}
+			emit(key, []byte(strconv.Itoa(total)))
+			return nil
+		},
+		NumReducers: 2,
+		Output:      col.Emit,
+	}
+	stats, err := Run(testCfg(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, p := range col.Pairs() {
+		got[p.Key] = string(p.Value)
+	}
+	for k, v := range map[string]string{"a": "5", "b": "3", "c": "2", "d": "1", "e": "1"} {
+		if got[k] != v {
+			t.Errorf("count[%s] = %s, want %s", k, got[k], v)
+		}
+	}
+	if stats.Splits < 2 || tasks.Load() != int64(stats.Splits) || flushes.Load() != int64(stats.Splits) {
+		t.Errorf("%d splits, %d task setups, %d flushes: want one of each per split", stats.Splits, tasks.Load(), flushes.Load())
+	}
+	if stats.ShufflePairs >= int64(len(words)) {
+		t.Errorf("ShufflePairs = %d, want fewer than one per record (%d)", stats.ShufflePairs, len(words))
+	}
+
+	job.Map = func(Record, Emit) error { return nil }
+	if _, err := Run(testCfg(), job); err == nil {
+		t.Error("a job with both Map and MapTask ran")
+	}
+	job.Map, job.MapTask = nil, nil
+	if _, err := Run(testCfg(), job); err == nil {
+		t.Error("a job with neither Map nor MapTask ran")
+	}
+}
+
 func TestCombinerReducesShuffle(t *testing.T) {
 	fs := dfs.New(1 << 20)
 	var words []string
