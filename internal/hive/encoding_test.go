@@ -62,8 +62,8 @@ func TestEncodedKernelsMatchRowPath(t *testing.T) {
 		`SELECT sum(v) FROM cities WHERE ts<'2012-12-05' AND city='cairo'`,
 		`SELECT sum(v) FROM cities WHERE id IN (3,7,9,311)`,
 		`SELECT city, count(*) FROM cities WHERE ts>='2012-12-03' GROUP BY city`,
-		// Aggregates fold per group resolver: none, dictionary codes,
-		// run-length runs, per-row keys, and an expression argument.
+		// Aggregates: no GROUP BY, grouping by the dictionary, run-length
+		// and plain columns, and an expression argument.
 		`SELECT count(*), sum(v), min(id), avg(v) FROM cities WHERE id>=7`,
 		`SELECT city, count(*), sum(v), max(ts) FROM cities WHERE id>=7 GROUP BY city`,
 		`SELECT ts, avg(v), min(v) FROM cities WHERE city!='berlin' GROUP BY ts`,

@@ -2,8 +2,8 @@ package hive
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
-	"strconv"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
@@ -107,13 +107,13 @@ func (t *queryTask) emitRow(l, r storage.Row, rec mapreduce.Record, emit mapredu
 // project emits one projected output row keyed by its source position, so
 // output order is deterministic. RCFile records share their row group's
 // offset, so the in-group row position breaks the tie (it is 0 for every
-// text record). The key is "path:%012d:%06d" built in the task's scratch.
+// text record). The key is built in the task's scratch.
 func (t *queryTask) project(l, r storage.Row, rec mapreduce.Record, emit mapreduce.Emit) {
 	out := make(storage.Row, len(t.q.items))
 	for i, it := range t.q.items {
 		out[i] = it.expr(l, r)
 	}
-	t.key = appendPosKey(t.key[:0], rec)
+	t.key = fmt.Appendf(t.key[:0], "%s:%012d:%06d", rec.Path, rec.Offset, rec.RowInBlock)
 	emit(string(t.key), []byte(storage.EncodeTextRow(out)))
 }
 
@@ -123,32 +123,6 @@ func (t *queryTask) flush(emit mapreduce.Emit) error {
 		t.agg.flush(emit)
 	}
 	return nil
-}
-
-// appendPosKey appends a record's position key, byte-identical to
-// fmt.Sprintf("%s:%012d:%06d", rec.Path, rec.Offset, rec.RowInBlock).
-func appendPosKey(dst []byte, rec mapreduce.Record) []byte {
-	dst = append(dst, rec.Path...)
-	dst = append(dst, ':')
-	dst = appendZeroPad(dst, rec.Offset, 12)
-	dst = append(dst, ':')
-	return appendZeroPad(dst, int64(rec.RowInBlock), 6)
-}
-
-// appendZeroPad appends n in decimal, zero-padded to width like %0*d (a
-// minus sign counts toward the width).
-func appendZeroPad(dst []byte, n int64, width int) []byte {
-	var tmp [24]byte
-	digits := strconv.AppendInt(tmp[:0], n, 10)
-	if n < 0 {
-		dst = append(dst, '-')
-		digits = digits[1:]
-		width--
-	}
-	for i := len(digits); i < width; i++ {
-		dst = append(dst, '0')
-	}
-	return append(dst, digits...)
 }
 
 // aggTable is one map task's aggregation state: an accumulator vector per
@@ -164,7 +138,6 @@ type aggTable struct {
 	accs  []dgf.Accumulator
 	kbuf  []byte  // binary key scratch
 	gsel  []int32 // group ordinal per selected row of the current batch
-	codes []int32 // dictionary code → ordinal for the current batch
 }
 
 func newAggTable(q *compiledQuery) *aggTable {
@@ -277,46 +250,16 @@ func (t *aggTable) foldArg(b *storage.ColumnBatch, sel []int, gs []int32, a *com
 }
 
 // batchGroups resolves the group ordinal of every selected row. Without
-// GROUP BY every row shares one group; a dictionary-encoded group column
-// resolves once per code and a run-length one once per run; anything else
-// builds the binary key per row from the typed cells.
+// GROUP BY every row shares one group; otherwise each row's binary key is
+// built from its typed group cells.
 func (t *aggTable) batchGroups(b *storage.ColumnBatch, sel []int) []int32 {
 	gs := t.gsel[:0]
-	cols := t.q.groupCols
-	switch {
-	case len(cols) == 0:
+	if len(t.q.groupCols) == 0 {
 		g := t.cellGroup(b, sel[0])
 		for range sel {
 			gs = append(gs, g)
 		}
-	case len(cols) == 1 && b.Cols[cols[0]].Valid && b.Cols[cols[0]].Enc == storage.EncDict:
-		v := &b.Cols[cols[0]]
-		codes := t.codes[:0]
-		for range v.Dict {
-			codes = append(codes, -1)
-		}
-		for _, i := range sel {
-			c := v.Codes[i]
-			if codes[c] < 0 {
-				codes[c] = t.cellGroup(b, i)
-			}
-			gs = append(gs, codes[c])
-		}
-		t.codes = codes
-	case len(cols) == 1 && b.Cols[cols[0]].Valid && b.Cols[cols[0]].Enc == storage.EncRLE && len(b.Cols[cols[0]].RunEnds) > 0:
-		v := &b.Cols[cols[0]]
-		run, g := 0, int32(-1)
-		for _, i := range sel {
-			for int32(i) >= v.RunEnds[run] {
-				run++
-				g = -1
-			}
-			if g < 0 {
-				g = t.cellGroup(b, i)
-			}
-			gs = append(gs, g)
-		}
-	default:
+	} else {
 		for _, i := range sel {
 			gs = append(gs, t.cellGroup(b, i))
 		}

@@ -7,33 +7,8 @@ import (
 	"testing"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
-	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
 )
-
-// TestAppendPosKeyMatchesSprintf: the projection sort key built in a reused
-// buffer is byte-identical to the fmt.Sprintf form it replaced, so output
-// order cannot change.
-func TestAppendPosKeyMatchesSprintf(t *testing.T) {
-	for _, c := range []struct {
-		path   string
-		off    int64
-		row    int
-		prefix []byte
-	}{
-		{"/warehouse/t/part-0", 0, 0, nil},
-		{"/w/a", 123456, 42, []byte("stale bytes")},
-		{"p", 999999999999, 999999, nil},
-		{"p", 1234567890123456, 12345678, nil},
-		{"p", -17, -3, nil},
-	} {
-		rec := mapreduce.Record{Path: c.path, Offset: c.off, RowInBlock: c.row}
-		want := fmt.Sprintf("%s:%012d:%06d", c.path, c.off, c.row)
-		if got := string(appendPosKey(c.prefix[:0], rec)); got != want {
-			t.Errorf("appendPosKey = %q, want %q", got, want)
-		}
-	}
-}
 
 // TestMergeValuesRejectsBadPartial: a partial that fails to decode is an
 // error on the reduce side, never silently passed through unmerged.

@@ -101,8 +101,8 @@ func TestFoldEquivalenceBatchScanShapes(t *testing.T) {
 		fleets[fmt.Sprintf("%d-shard", n)] = router
 	}
 
-	// The dictionary and run-length group resolvers only run when the
-	// columns are stored encoded.
+	// Some queries group by feeder and regionId; check that those columns
+	// really are stored dictionary- and run-length-encoded.
 	stmt, err := hive.Parse(`SELECT feeder, regionId, count(*) FROM meterdata GROUP BY feeder, regionId`)
 	if err != nil {
 		t.Fatal(err)
